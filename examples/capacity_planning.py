@@ -12,7 +12,8 @@ Run:
     python examples/capacity_planning.py
 """
 
-from repro import MultiNodeConfig, run_multi_node_experiment
+from repro import run_experiment
+from repro.experiments.fig6_multinode import fig6_config
 from repro.metrics.report import format_table
 
 CORES_PER_VM = 18
@@ -31,14 +32,8 @@ def main() -> None:
     verdicts = {}
     for policy in ("baseline", "FC"):
         for vms in (4, 3, 2, 1):
-            config = MultiNodeConfig(
-                nodes=vms,
-                cores_per_node=CORES_PER_VM,
-                total_requests=TOTAL_REQUESTS,
-                policy=policy,
-                seed=1,
-            )
-            stats = run_multi_node_experiment(config).summary()
+            config = fig6_config(vms, CORES_PER_VM, TOTAL_REQUESTS, policy, seed=1)
+            stats = run_experiment(config).summary()
             ok = (
                 stats.mean_response_time <= TARGET_AVG_S
                 and stats.response_time_percentiles[95] <= TARGET_P95_S

@@ -28,12 +28,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.cluster.controller import LoadBalancer, LeastLoadedBalancer
 from repro.cluster.network import NetworkModel
+from repro.failures.spec import FailureSpec
 from repro.metrics.records import CallRecord
 from repro.sim.events import AnyOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import FailureRng
-    from repro.failures.spec import FailureSpec
     from repro.sim.core import Environment
     from repro.metrics.streaming import MetricsAccumulator
     from repro.node.baseline import BaselineInvoker
@@ -70,15 +70,10 @@ class FaaSPlatform:
         self.invokers = invokers if isinstance(invokers, list) else list(invokers)
         self.balancer = balancer if balancer is not None else LeastLoadedBalancer(self.invokers)
         self.network = network if network is not None else NetworkModel()
-        if failures is not None and not failures.is_none and failure_rng is None:
+        self.failures = failures if failures is not None else FailureSpec.none()
+        if not self.failures.is_none and failure_rng is None:
             raise ValueError("failure injection requires a FailureRng")
-        self.failures = None if failures is not None and failures.is_none else failures
         self._failure_rng = failure_rng
-        #: The client coroutine: the exact historical generator on the
-        #: failure-free path, the retrying client under injection.
-        self._client = (
-            self._client_call if self.failures is None else self._client_call_failures
-        )
         self.records: List[CallRecord] = []
         #: Client-visible calls completed so far (exact, even when records
         #: are not retained).
@@ -162,22 +157,6 @@ class FaaSPlatform:
             self._all_done.succeed()
 
     # ------------------------------------------------------------------
-    def _client_call(self, request: "Request"):
-        env = self.env
-        if request.release_time > env.now:
-            yield env.timeout(request.release_time - env.now)
-        # Request leg: client -> controller/Kafka -> invoker.
-        yield env.timeout(self.network.request_delay())
-        index = self.balancer.pick(request)
-        stats = getattr(self.balancer, "stats", None)
-        if stats is not None:  # duck-typed custom balancers may omit it
-            stats.picks += 1
-        info = yield self.invokers[index].submit(request)
-        # Response leg: invoker -> client.
-        yield env.timeout(self.network.response_delay())
-        record = CallRecord.from_node_info(info, env.now)
-        self._finish(record)
-
     def _finish(self, record: CallRecord) -> None:
         if self._collector is not None:
             self._collector.add(record)
@@ -189,13 +168,16 @@ class FaaSPlatform:
             self._all_done.succeed()
 
     # ------------------------------------------------------------------
-    def _client_call_failures(self, request: "Request"):
-        """The retrying client (failure injection only): per-attempt
-        faults, an optional client-side timeout, and exponential-backoff
-        retries up to the spec's attempt budget (docs/FAILURES.md)."""
+    def _client(self, request: "Request"):
+        """One client call: release wait, request leg, ``submit``,
+        response leg.  Under injection the client also draws per-attempt
+        faults, may time an attempt out, and retries with exponential
+        backoff up to the spec's attempt budget (docs/FAILURES.md); under
+        :meth:`FailureSpec.none` none of that triggers, so each call
+        yields exactly those four events."""
         env = self.env
         spec = self.failures
-        assert spec is not None and self._failure_rng is not None
+        rng = self._failure_rng
         if request.release_time > env.now:
             yield env.timeout(request.release_time - env.now)
         attempt = 0
@@ -205,7 +187,7 @@ class FaaSPlatform:
             attempt += 1
             # Request leg: client -> controller/Kafka -> invoker.
             yield env.timeout(self.network.request_delay())
-            fault = self._failure_rng.attempt_fault(spec, request.rid, attempt)
+            fault = None if rng is None else rng.attempt_fault(spec, request.rid, attempt)
             index = self.balancer.pick(request)
             stats = getattr(self.balancer, "stats", None)
             if stats is not None:  # duck-typed custom balancers may omit it

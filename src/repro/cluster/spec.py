@@ -136,8 +136,8 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     @property
     def is_default(self) -> bool:
-        """True for the classic single-node topology (the exact historical
-        code path: one invoker, platform-default balancer, no scaling)."""
+        """True for the classic single-node topology (one invoker,
+        least-loaded balancer, no scaling)."""
         return self == DEFAULT_CLUSTER
 
     def balancer_kwargs(self) -> Dict[str, Any]:

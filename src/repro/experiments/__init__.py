@@ -9,7 +9,7 @@ from repro.experiments.adaptive import (
     allocate_seeds,
     run_adaptive_grid,
 )
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CacheVerification,
     EngineOptions,
@@ -21,12 +21,7 @@ from repro.experiments.parallel import (
     run_configs,
     verify_cache,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_multi_node_experiment,
-    run_repetitions,
-)
+from repro.experiments.runner import ExperimentResult, run_experiment, run_repetitions
 
 __all__ = [
     "AdaptiveAllocation",
@@ -38,14 +33,12 @@ __all__ = [
     "EngineStats",
     "ExperimentConfig",
     "ExperimentResult",
-    "MultiNodeConfig",
     "ResultCache",
     "WorkerError",
     "config_fingerprint",
     "progress_printer",
     "run_configs",
     "run_experiment",
-    "run_multi_node_experiment",
     "run_repetitions",
     "verify_cache",
 ]

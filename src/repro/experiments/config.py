@@ -24,7 +24,7 @@ from repro.node.config import NodeConfig
 from repro.scheduling.registry import get_policy
 from repro.workload.registry import get_scenario
 
-__all__ = ["ExperimentConfig", "MultiNodeConfig", "BASELINE"]
+__all__ = ["ExperimentConfig", "BASELINE"]
 
 #: Pseudo-policy name selecting the stock OpenWhisk invoker.
 BASELINE = "baseline"
@@ -62,7 +62,9 @@ def _freeze_params(params: Union[Mapping[str, Any], ScenarioParams, None]) -> Sc
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One single-node run (paper Sects. V–VII).
+    """One run: the paper's single-node protocol (Sects. V–VII) by
+    default, its multi-node experiment (Sect. VIII) with a multi-node
+    ``cluster``.
 
     Attributes
     ----------
@@ -109,16 +111,14 @@ class ExperimentConfig:
         node count, per-node overrides, balancer flavour + kwargs,
         optional autoscaler.  A mapping of ``ClusterSpec`` fields is
         accepted and normalised.  The default is the classic single-node
-        experiment; anything else routes the run through the cluster
-        path (Sect. VIII) and is part of the cache fingerprint.
+        experiment; the topology is part of the cache fingerprint.
     failures:
         The fault regime (:class:`~repro.failures.spec.FailureSpec`):
         node crash/recovery, container kills, stragglers, and the
         per-invocation timeout/retry policy (see docs/FAILURES.md).  A
         mapping of ``FailureSpec`` fields is accepted and normalised.
-        The default is the failure-free historical path; anything else
-        routes calls through the retrying client and is part of the
-        cache fingerprint.
+        The default injects nothing; the regime is part of the cache
+        fingerprint.
     retain_records:
         ``True`` (the default, and what every golden-fingerprint run
         uses) keeps the full O(invocations) ``CallRecord`` list on the
@@ -224,52 +224,3 @@ class ExperimentConfig:
         if self.scenario != "uniform":
             base += f" scenario={self.scenario}"
         return base + self.cluster.label_suffix() + self.failures.label_suffix()
-
-
-@dataclass(frozen=True)
-class MultiNodeConfig:
-    """One multi-node run (paper Sect. VIII) — legacy spelling.
-
-    The paper sends a *fixed* request count (1320 on 10-core VMs, 2376 on
-    18-core VMs) while varying the number of worker VMs from 4 down to 1.
-
-    New code should prefer an :class:`ExperimentConfig` with the
-    ``multi-node`` scenario and a :class:`~repro.cluster.spec.ClusterSpec`
-    — that spelling sweeps, caches, and parallelizes like every other
-    experiment.  This class is kept for existing callers and cached
-    results; :func:`~repro.experiments.runner.run_multi_node_experiment`
-    still consumes it.
-    """
-
-    nodes: int
-    cores_per_node: int
-    total_requests: int
-    policy: str = "FC"
-    seed: int = 1
-    memory_mb: int = 40960
-    balancer: str = "least-loaded"
-    window_s: float = 60.0
-    node_overrides: Tuple[Tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes!r}")
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.policy.lower() == BASELINE
-
-    def node_config(self) -> NodeConfig:
-        overrides = dict(self.node_overrides)
-        return NodeConfig(
-            cores=self.cores_per_node, memory_mb=self.memory_mb, **overrides
-        )
-
-    def with_(self, **changes) -> "MultiNodeConfig":
-        return replace(self, **changes)
-
-    def label(self) -> str:
-        return (
-            f"{self.policy} nodes={self.nodes} c={self.cores_per_node} "
-            f"n={self.total_requests} seed={self.seed}"
-        )

@@ -42,12 +42,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import (
-    AnyConfig,
-    EngineStats,
-    ResultCache,
-    Runner,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import EngineStats, ResultCache, Runner
 from repro.experiments.runner import ExperimentResult
 
 __all__ = [
@@ -66,7 +62,7 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: ``callback(index, config, result, cached)`` — invoked exactly once per
 #: pending cell, in completion order (results are slotted by ``index``).
-FinishedCallback = Callable[[int, AnyConfig, ExperimentResult, bool], None]
+FinishedCallback = Callable[[int, ExperimentConfig, ExperimentResult, bool], None]
 
 
 @dataclass
@@ -101,7 +97,7 @@ class Executor(ABC):
     @abstractmethod
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig, Runner]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
@@ -121,14 +117,14 @@ class LocalExecutor(Executor):
 
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig, Runner]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
         cache = context.cache
 
         def done(
-            index: int, config: AnyConfig, result: ExperimentResult, cached: bool
+            index: int, config: ExperimentConfig, result: ExperimentResult, cached: bool
         ) -> None:
             if cache is not None:
                 cache.store(config, result)

@@ -48,13 +48,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
 
 import repro
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.failures.spec import FailureSpec
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_multi_node_experiment,
-)
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.metrics.serialize import records_from_dicts, records_to_dicts
 from repro.metrics.streaming import SummaryAccumulator
 
@@ -75,8 +71,7 @@ __all__ = [
     "verify_cache",
 ]
 
-AnyConfig = Union[ExperimentConfig, MultiNodeConfig]
-Runner = Callable[[AnyConfig], ExperimentResult]
+Runner = Callable[[ExperimentConfig], ExperimentResult]
 ProgressCallback = Callable[[int, int, str, bool], None]
 
 #: Bump when the cached payload layout changes; old entries then miss.
@@ -90,12 +85,6 @@ ProgressCallback = Callable[[int, int, str, bool], None]
 #: ``attempts``/``outcome`` and summaries the failure counters.
 CACHE_SCHEMA_VERSION = 6
 
-_CONFIG_TYPES = {
-    "ExperimentConfig": ExperimentConfig,
-    "MultiNodeConfig": MultiNodeConfig,
-}
-
-
 # ----------------------------------------------------------------------
 # Config / result serialization and fingerprinting
 # ----------------------------------------------------------------------
@@ -104,17 +93,14 @@ _CONFIG_TYPES = {
 _PAIR_FIELDS = ("node_overrides", "scenario_params", "policy_params")
 
 
-def config_to_dict(config: AnyConfig) -> Dict[str, Any]:
+def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
     """A JSON-compatible, type-tagged dict of a config's fields."""
     data = {f.name: getattr(config, f.name) for f in fields(config)}
     for name in _PAIR_FIELDS:
-        if name in data:
-            data[name] = [list(pair) for pair in data[name]]
-    if isinstance(data.get("cluster"), ClusterSpec):
-        data["cluster"] = data["cluster"].to_dict()
-    if isinstance(data.get("failures"), FailureSpec):
-        data["failures"] = data["failures"].to_dict()
-    return {"type": type(config).__name__, "fields": data}
+        data[name] = [list(pair) for pair in data[name]]
+    data["cluster"] = config.cluster.to_dict()
+    data["failures"] = config.failures.to_dict()
+    return {"type": "ExperimentConfig", "fields": data}
 
 
 def _untuple(value: Any) -> Any:
@@ -126,9 +112,12 @@ def _untuple(value: Any) -> Any:
     return value
 
 
-def config_from_dict(payload: Dict[str, Any]) -> AnyConfig:
-    """Inverse of :func:`config_to_dict`."""
-    cls = _CONFIG_TYPES[payload["type"]]
+def config_from_dict(payload: Dict[str, Any]) -> ExperimentConfig:
+    """Inverse of :func:`config_to_dict`.  Any other type tag — such as
+    the legacy multi-node config of old cache entries — raises
+    :class:`ValueError`, which every cache reader treats as a miss."""
+    if payload["type"] != "ExperimentConfig":
+        raise ValueError(f"unknown config type {payload['type']!r}")
     data = dict(payload["fields"])
     for name in _PAIR_FIELDS:
         if name in data:
@@ -137,10 +126,10 @@ def config_from_dict(payload: Dict[str, Any]) -> AnyConfig:
         data["cluster"] = ClusterSpec.from_dict(data["cluster"])
     if isinstance(data.get("failures"), dict):
         data["failures"] = FailureSpec.from_dict(data["failures"])
-    return cls(**data)
+    return ExperimentConfig(**data)
 
 
-def config_fingerprint(config: AnyConfig, *, namespace: str = "") -> str:
+def config_fingerprint(config: ExperimentConfig, *, namespace: str = "") -> str:
     """Content-addressed cache key: SHA-256 over the canonical JSON form of
     the config plus the package and cache-schema versions.
 
@@ -222,11 +211,11 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def path_for(self, config: AnyConfig) -> Path:
+    def path_for(self, config: ExperimentConfig) -> Path:
         fingerprint = config_fingerprint(config, namespace=self.namespace)
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def load(self, config: AnyConfig) -> Optional[ExperimentResult]:
+    def load(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """The cached result for ``config``, or ``None`` on a miss."""
         path = self.path_for(config)
         try:
@@ -238,7 +227,7 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def store(self, config: AnyConfig, result: ExperimentResult) -> Path:
+    def store(self, config: ExperimentConfig, result: ExperimentResult) -> Path:
         """Persist ``result`` under ``config``'s fingerprint atomically."""
         path = self.path_for(config)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -430,12 +419,6 @@ def progress_printer(stream: Optional[TextIO] = None) -> ProgressCallback:
     return report
 
 
-def _default_runner(config: AnyConfig) -> Runner:
-    if isinstance(config, MultiNodeConfig):
-        return run_multi_node_experiment
-    return run_experiment
-
-
 def _runner_namespace(runner: Optional[Runner]) -> str:
     """Cache namespace for a custom runner (empty for the defaults).
 
@@ -469,7 +452,7 @@ _CRASH_GRACE_S = 1.0
 _POLL_S = 0.05
 
 
-def _cell_main(index: int, config: AnyConfig, runner: Runner, results) -> None:
+def _cell_main(index: int, config: ExperimentConfig, runner: Runner, results) -> None:
     """Worker process entry: run one experiment, shipping failures back as
     data so the parent can raise a :class:`WorkerError` with full context.
     A worker that never reports (killed, hung) is handled by the parent's
@@ -514,7 +497,7 @@ class _Cell:
     """Parent-side state of one in-flight worker process."""
 
     index: int
-    config: AnyConfig
+    config: ExperimentConfig
     run: Runner
     process: Any
     started: float
@@ -554,7 +537,7 @@ class _ProcessEngine:
         self.results = self.context.Queue()
         self.waiting: deque = deque()
         #: Crashed cells awaiting their backoff: (not_before, index, attempt).
-        self.delayed: List[Tuple[float, int, AnyConfig, Runner, int]] = []
+        self.delayed: List[Tuple[float, int, ExperimentConfig, Runner, int]] = []
         self.running: Dict[int, _Cell] = {}
         #: ``(label, elapsed_s)`` of cells cancelled on deadline.
         self.timed_out: List[Tuple[str, float]] = []
@@ -693,7 +676,7 @@ def _terminate(process) -> None:
 
 
 def run_configs(
-    configs: Iterable[AnyConfig],
+    configs: Iterable[ExperimentConfig],
     *,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
@@ -724,9 +707,7 @@ def run_configs(
     runner:
         Override the per-config runner (must be a picklable top-level
         callable when ``jobs > 1``).  Defaults to
-        :func:`~repro.experiments.runner.run_experiment` /
-        :func:`~repro.experiments.runner.run_multi_node_experiment`
-        depending on each config's type.
+        :func:`~repro.experiments.runner.run_experiment`.
     progress:
         ``callback(done, total, label, cached)`` invoked once per finished
         config (see :func:`progress_printer`).
@@ -773,7 +754,7 @@ def run_configs(
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     done = 0
 
-    def finished(index: int, config: AnyConfig, result: ExperimentResult, cached: bool) -> None:
+    def finished(index: int, config: ExperimentConfig, result: ExperimentResult, cached: bool) -> None:
         nonlocal done
         results[index] = result
         done += 1
@@ -784,13 +765,13 @@ def run_configs(
         if progress is not None:
             progress(done, stats.total, config.label(), cached)
 
-    pending: List[Tuple[int, AnyConfig, Runner]] = []
+    pending: List[Tuple[int, ExperimentConfig, Runner]] = []
     for index, config in enumerate(configs):
         hit = cache.load(config) if cache is not None else None
         if hit is not None:
             finished(index, config, hit, cached=True)
         else:
-            pending.append((index, config, runner or _default_runner(config)))
+            pending.append((index, config, runner or run_experiment))
 
     try:
         if pending:

@@ -15,10 +15,12 @@ cache entry *is* the done-marker, so:
 
 Claim protocol (crash-safe by construction):
 
-1. **Claim** — a worker claims fingerprint ``fp`` by creating
-   ``<root>/claims/<fp>.lease`` with ``O_CREAT | O_EXCL`` (atomic on
-   POSIX and NFSv3+): exactly one concurrent claimant wins.  The lease
-   records owner id, host, pid, TTL, and a heartbeat timestamp.
+1. **Claim** — a worker claims fingerprint ``fp`` by writing its lease
+   to a temp file and hard-linking it to ``<root>/claims/<fp>.lease``
+   (``link`` fails atomically on an existing path, on POSIX and
+   NFSv3+): exactly one concurrent claimant wins, and a lease is never
+   visible before it is complete.  The lease records owner id, host,
+   pid, TTL, and a heartbeat timestamp.
 2. **Heartbeat** — while computing, the owner refreshes the lease every
    ``ttl/4`` seconds (atomic rewrite).  A lease whose heartbeat is
    older than its TTL — or whose owning pid is dead, when observed from
@@ -53,21 +55,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExecutionContext, Executor, FinishedCallback
 from repro.experiments.parallel import (
     QUARANTINE_DIR,
-    AnyConfig,
     ResultCache,
     Runner,
-    _default_runner,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
 )
-from repro.experiments.runner import (
-    run_experiment,
-    run_multi_node_experiment,
-)
+from repro.experiments.runner import run_experiment
 
 __all__ = [
     "CLAIMS_DIR",
@@ -148,8 +146,12 @@ def _done_path(root: Path, fingerprint: str) -> Path:
     return root / fingerprint[:2] / f"{fingerprint}.json"
 
 
+def _temp_path(path: Path) -> Path:
+    return path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:6]}")
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:6]}")
+    tmp = _temp_path(path)
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
@@ -239,20 +241,21 @@ def steal_lease(path: Path) -> bool:
 
 
 def _sweep_stale_tombstones(root: Path, ttl: float) -> int:
-    """Unlink steal tombstones leaked by crashed stealers.
+    """Unlink steal tombstones and lease temp files leaked by crashed
+    workers.
 
-    Nothing else ever visits ``*.stale-*`` files in the claims sidecar,
-    so without this sweep they accumulate forever on long-lived shared
-    roots.  Only tombstones older than the lease TTL go — a live steal
-    completes its rename-then-unlink in microseconds, so anything that
-    old is certainly abandoned.  Returns the number removed.
+    Nothing else ever visits ``*.stale-*`` or ``*.tmp-*`` files in the
+    claims sidecar, so without this sweep they accumulate forever on
+    long-lived shared roots.  Only files older than the lease TTL go — a
+    live steal or claim is done with them in microseconds, so anything
+    that old is certainly abandoned.  Returns the number removed.
     """
     claims = root / CLAIMS_DIR
     if not claims.is_dir():
         return 0
     cutoff = time.time() - ttl
     removed = 0
-    for path in claims.glob("*.stale-*"):
+    for path in [*claims.glob("*.stale-*"), *claims.glob("*.tmp-*")]:
         try:
             if path.stat().st_mtime <= cutoff:
                 os.unlink(path)
@@ -278,17 +281,6 @@ def try_claim(
     path = _lease_path(root, fingerprint)
     path.parent.mkdir(parents=True, exist_ok=True)
     for _ in range(2):  # second round after a successful steal
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            lease = read_lease(path)
-            if lease is not None and not lease_is_stale(lease):
-                return False
-            if not path.exists():
-                continue  # released between the open and the read; retry
-            if not steal_lease(path):
-                return False  # another worker stole (and will re-claim) it
-            continue
         now = time.time()
         lease = Lease(
             fingerprint=fingerprint,
@@ -299,10 +291,33 @@ def try_claim(
             heartbeat_at=now,
             ttl=ttl,
         )
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(lease.to_json())
-        return True
+        if _publish_exclusive(path, lease.to_json()):
+            return True
+        current = read_lease(path)
+        if current is not None and not lease_is_stale(current):
+            return False
+        if not path.exists():
+            continue  # released between the publish and the read; retry
+        if not steal_lease(path):
+            return False  # another worker stole (and will re-claim) it
     return False
+
+
+def _publish_exclusive(path: Path, text: str) -> bool:
+    """Create ``path`` holding ``text`` — complete or not at all; False
+    when it already exists.  The text goes to a temp file first, which
+    :func:`os.link` then publishes atomically (failing with ``EEXIST`` on
+    a taken path), so no reader ever sees a created-but-unwritten lease
+    and mistakes it for a stale one."""
+    tmp = _temp_path(path)
+    tmp.write_text(text, encoding="utf-8")
+    try:
+        os.link(tmp, path)
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(tmp)
+    return True
 
 
 def refresh_lease(
@@ -317,7 +332,9 @@ def refresh_lease(
     between can still be overwritten once; the next heartbeat observes
     the mismatch and stops.  Results stay correct either way (stores are
     idempotent and byte-identical) — this check keeps lease ownership
-    truthful and avoids silently computing expensive cells twice.
+    truthful and avoids silently computing expensive cells twice.  The
+    rewrite is an atomic replace, so a racing claimant reads the old or
+    the new lease, never a partial one it would take for stale.
     """
     root = Path(root).expanduser()
     path = _lease_path(root, fingerprint)
@@ -386,7 +403,7 @@ class _LeaseHeartbeat(threading.Thread):
 # Queue entries
 # ----------------------------------------------------------------------
 def enqueue_config(
-    root: Union[str, Path], config: AnyConfig, *, namespace: str = ""
+    root: Union[str, Path], config: ExperimentConfig, *, namespace: str = ""
 ) -> str:
     """Publish one pending cell; returns its fingerprint.  Idempotent:
     an existing queue entry or done-marker short-circuits."""
@@ -492,7 +509,7 @@ class WorkerSummary:
         )
 
 
-def _entry_config(path: Path, fingerprint: str) -> Optional[Tuple[AnyConfig, str]]:
+def _entry_config(path: Path, fingerprint: str) -> Optional[Tuple[ExperimentConfig, str]]:
     """Deserialize one queue entry and verify its fingerprint really is
     the content address of its config under the *current* schema and
     package version — an entry written by different code can never
@@ -613,7 +630,7 @@ def _scan_once(
         heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
         heartbeat.start()
         try:
-            result = _default_runner(config)(config)
+            result = run_experiment(config)
             ResultCache(root, namespace=namespace).store(config, result)
         finally:
             heartbeat.stop()
@@ -653,7 +670,7 @@ class QueueExecutor(Executor):
     any number of external ``faas-sched worker`` processes.
 
     Requires a cache directory (the cache root *is* the coordination
-    medium) and the default runners (a custom runner callable cannot be
+    medium) and the default runner (a custom runner callable cannot be
     reconstructed by a detached worker process).  Rejects
     ``cell_timeout``: the lease heartbeat keeps a claimed cell alive for
     as long as it runs, so a per-cell deadline cannot be enforced here
@@ -674,7 +691,7 @@ class QueueExecutor(Executor):
 
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig, Runner]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
@@ -694,7 +711,7 @@ class QueueExecutor(Executor):
                 "or use executor='local'"
             )
         for _, _, run in pending:
-            if run not in (run_experiment, run_multi_node_experiment):
+            if run is not run_experiment:
                 raise ValueError(
                     "the queue executor supports only the default "
                     "experiment runners; a custom runner callable cannot "
@@ -706,7 +723,7 @@ class QueueExecutor(Executor):
         ttl = _resolve_ttl(self.lease_ttl)
         _sweep_stale_tombstones(root, ttl)
         owner = new_owner_id()
-        remaining: Dict[str, Tuple[int, AnyConfig]] = {}
+        remaining: Dict[str, Tuple[int, ExperimentConfig]] = {}
         for index, config, _ in pending:
             fingerprint = enqueue_config(root, config, namespace=namespace)
             remaining[fingerprint] = (index, config)
@@ -744,7 +761,7 @@ class QueueExecutor(Executor):
                     heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
                     heartbeat.start()
                     try:
-                        result = _default_runner(config)(config)
+                        result = run_experiment(config)
                         cache.store(config, result)
                     finally:
                         heartbeat.stop()

@@ -1,11 +1,10 @@
 """Experiment execution: warm-up → 60-second burst → drain (Sect. V-A).
 
-Single-node runs (the paper's Sects. V–VII protocol) and cluster runs
-(Sect. VIII and beyond) share one entry point: :func:`run_experiment`
-inspects ``config.cluster`` and either takes the exact historical
-single-node path or builds a fleet — per-node configurations, a load
-balancer, optionally a reactive autoscaler — and drives the same
-scenario through it.  Both paths are fully deterministic given the
+Every run — the paper's single-node protocol (Sects. V–VII) and its
+multi-node experiment (Sect. VIII) alike — goes through
+:func:`run_experiment`, which builds the fleet ``config.cluster``
+describes (a single node is the default topology) and drives the
+config's scenario through it.  Runs are fully deterministic given the
 config, which is what lets the parallel engine cache and shard them.
 """
 
@@ -17,10 +16,9 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.cluster.autoscaler import ReactiveAutoscaler
 from repro.cluster.controller import make_balancer
 from repro.cluster.platform import FaaSPlatform
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.failures.injector import FailureInjector
 from repro.failures.rng import FailureRng
-from repro.failures.spec import FailureSpec
 from repro.metrics.records import CallRecord
 from repro.metrics.stats import SummaryStats, summarize
 from repro.metrics.streaming import StreamingSummary, SummaryAccumulator
@@ -32,18 +30,13 @@ from repro.sim.rng import RngRegistry
 from repro.workload.functions import sebs_catalog
 from repro.workload.generator import BurstScenario
 from repro.workload.registry import build_scenario, build_scenario_stream
-from repro.workload.scenarios import multi_node_burst
 
 __all__ = [
     "ExperimentResult",
     "RecordsNotRetainedError",
     "run_experiment",
-    "run_multi_node_experiment",
     "run_repetitions",
 ]
-
-AnyConfig = Union[ExperimentConfig, MultiNodeConfig]
-
 
 class RecordsNotRetainedError(RuntimeError):
     """A record-derived view was requested from a streaming result.
@@ -74,13 +67,13 @@ class ExperimentResult:
     :meth:`streaming_summary` and :attr:`cold_starts` work on both.
     """
 
-    config: AnyConfig
+    config: ExperimentConfig
     records: Optional[List[CallRecord]]
     #: Per-invoker diagnostics.
     node_stats: List[Dict[str, float]]
     #: Cluster routing diagnostics (balancer name, picks, spills, spill
-    #: rate, autoscaler scale events); ``None`` on the classic
-    #: single-node path, where no routing decisions exist.
+    #: rate, autoscaler scale events); ``None`` on the default
+    #: single-node topology, where no routing decisions exist.
     balancer_stats: Optional[Dict[str, Any]] = None
     #: Constant-size streaming fold of every completed call (populated by
     #: the runner in both modes; ``None`` only on legacy pre-streaming
@@ -199,30 +192,21 @@ def _node_stats(
     return stats
 
 
-def _failure_setup(
-    config: AnyConfig,
-) -> "tuple[Optional[FailureSpec], Optional[FailureRng]]":
-    """The config's failure regime as platform kwargs (``(None, None)``
-    on the failure-free path, legacy configs included)."""
-    failures: FailureSpec = getattr(config, "failures", None) or FailureSpec.none()
-    if failures.is_none:
-        return None, None
-    return failures, FailureRng(config.seed)
-
-
 def _build_invoker(
     env: Environment,
-    config: AnyConfig,
+    config: ExperimentConfig,
     name: str,
-    node_config: Optional[NodeConfig] = None,
+    node_config: NodeConfig,
 ) -> Union[Invoker, BaselineInvoker]:
-    node_config = node_config if node_config is not None else config.node_config()
     if config.is_baseline:
         return BaselineInvoker(env, node_config, name=name)
-    # MultiNodeConfig (legacy) has no policy_params field; the registry
-    # treats the absent value as "all declared defaults".
-    params = dict(getattr(config, "policy_params", ()))
-    return Invoker(env, node_config, policy=config.policy, name=name, policy_params=params)
+    return Invoker(
+        env,
+        node_config,
+        policy=config.policy,
+        name=name,
+        policy_params=config.policy_kwargs(),
+    )
 
 
 def _require_requests(config: ExperimentConfig, scenario: BurstScenario) -> None:
@@ -238,11 +222,6 @@ def _require_requests(config: ExperimentConfig, scenario: BurstScenario) -> None
         )
 
 
-def _retains_records(config: AnyConfig) -> bool:
-    """Whether this run keeps full records (legacy configs always do)."""
-    return bool(getattr(config, "retain_records", True))
-
-
 def _build_workload(config: ExperimentConfig, rngs: RngRegistry):
     """The config's workload through the scenario registry: materialised
     (retained mode, the exact historical path) or a lazy
@@ -253,7 +232,7 @@ def _build_workload(config: ExperimentConfig, rngs: RngRegistry):
     and therefore through the grid, the parallel engine, the cache, and
     the CLI — without touching this module.
     """
-    builder = build_scenario if _retains_records(config) else build_scenario_stream
+    builder = build_scenario if config.retain_records else build_scenario_stream
     return builder(
         config.scenario,
         config.cores,
@@ -265,7 +244,7 @@ def _build_workload(config: ExperimentConfig, rngs: RngRegistry):
 
 
 def _drive_platform(
-    config: AnyConfig, platform: FaaSPlatform, workload
+    config: ExperimentConfig, platform: FaaSPlatform, workload
 ) -> "tuple[Optional[List[CallRecord]], SummaryAccumulator]":
     """Run *workload* through *platform*, folding every completed call
     into a fresh accumulator; returns ``(records-or-None, accumulator)``.
@@ -274,7 +253,7 @@ def _drive_platform(
     order) moments, so streaming and retained runs produce bit-identical
     accumulator state by construction.
     """
-    retain = _retains_records(config)
+    retain = config.retain_records
     accumulator = SummaryAccumulator()
     if not retain:
         for invoker in platform.invokers:
@@ -294,60 +273,37 @@ def _drive_platform(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment end to end.
+    """Run one experiment end to end on the fleet ``config.cluster``
+    describes: per-node configurations, a load balancer, optionally a
+    reactive autoscaler and a node-crash schedule.
 
-    The default (single-node) cluster topology takes the exact historical
-    code path; any other :class:`~repro.cluster.spec.ClusterSpec` routes
-    through :func:`_run_cluster_experiment`.
-    """
-    if not config.cluster.is_default:
-        return _run_cluster_experiment(config)
-    env = Environment()
-    rngs = RngRegistry(config.seed)
-    catalog = sebs_catalog()
+    The paper's single-node protocol is the default
+    :class:`~repro.cluster.spec.ClusterSpec` (one node, least-loaded
+    balancer, no autoscaler); it differs from a fleet only in two values:
+    its invoker keeps the historical name ``"{policy}-node"`` (the golden
+    fingerprints hash it) and ``balancer_stats`` is ``None`` (one node
+    makes no routing decisions).
 
-    invoker = _build_invoker(env, config, name=f"{config.policy}-node")
-    if config.warmup:
-        invoker.warm_up(catalog)
-
-    workload = _build_workload(config, rngs)
-    if _retains_records(config):
-        _require_requests(config, workload)
-    failures, failure_rng = _failure_setup(config)
-    platform = FaaSPlatform(
-        env, [invoker], failures=failures, failure_rng=failure_rng
-    )
-    # No FailureInjector: with one node there is no crash to inject (the
-    # last live node never crashes); kills/stragglers/timeouts still apply.
-    records, accumulator = _drive_platform(config, platform, workload)
-    return ExperimentResult(
-        config=config,
-        records=records,
-        node_stats=[_node_stats(invoker, include_failures=failures is not None)],
-        accumulator=accumulator,
-    )
-
-
-def _run_cluster_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment on a multi-node (or otherwise non-default)
-    cluster topology: heterogeneous fleet, named balancer, optional
-    reactive autoscaler.
-
-    Determinism contract: the scenario draws from the same ``"scenario"``
-    RNG stream as the single-node path, balancer sampling PRNGs are
-    seeded from ``config.seed``, and the autoscaler is threshold-driven —
-    so results are bit-identical across the serial and parallel engines
-    for every cluster configuration.
+    Determinism contract: the scenario draws from the ``"scenario"`` RNG
+    stream, balancer sampling PRNGs are seeded from ``config.seed``,
+    failure draws from their own :class:`~repro.failures.rng.FailureRng`
+    streams, and the autoscaler is threshold-driven — so results are
+    bit-identical across the serial and parallel engines for every
+    configuration.
     """
     env = Environment()
     rngs = RngRegistry(config.seed)
     catalog = sebs_catalog()
     cluster = config.cluster
+    single = cluster.is_default
 
     base_node = config.node_config()
     invokers = [
         _build_invoker(
-            env, config, name=f"{config.policy}-node-{i}", node_config=node_config
+            env,
+            config,
+            name=f"{config.policy}-node" if single else f"{config.policy}-node-{i}",
+            node_config=node_config,
         )
         for i, node_config in enumerate(cluster.node_configs(base_node))
     ]
@@ -356,7 +312,7 @@ def _run_cluster_experiment(config: ExperimentConfig) -> ExperimentResult:
             invoker.warm_up(catalog)
 
     workload = _build_workload(config, rngs)
-    if _retains_records(config):
+    if config.retain_records:
         _require_requests(config, workload)
 
     balancer_kwargs = cluster.balancer_kwargs()
@@ -387,15 +343,17 @@ def _run_cluster_experiment(config: ExperimentConfig) -> ExperimentResult:
             ),
         )
 
-    failures, failure_rng = _failure_setup(config)
+    failures = config.failures
+    failure_rng = None if failures.is_none else FailureRng(config.seed)
     platform = FaaSPlatform(
         env, invokers, balancer=balancer, failures=failures, failure_rng=failure_rng
     )
     injector: Optional[FailureInjector] = None
     roster = list(invokers)
-    if failures is not None and failures.has_node_crashes:
+    if failures.has_node_crashes:
         # Crash schedules run against the same live list the balancer and
-        # autoscaler hold; roster nodes drop out and rejoin in place.
+        # autoscaler hold; roster nodes drop out and rejoin in place.  A
+        # single node never crashes (the last live node is spared).
         injector = FailureInjector(env, failures, invokers, failure_rng)
     records, accumulator = _drive_platform(config, platform, workload)
     if autoscaler is not None:
@@ -403,17 +361,16 @@ def _run_cluster_experiment(config: ExperimentConfig) -> ExperimentResult:
     if injector is not None:
         injector.stop()
 
-    balancer_stats: Dict[str, Any] = {
-        "balancer": cluster.balancer,
-        **balancer.stats.as_dict(),
-    }
-    if autoscaler is not None:
-        balancer_stats["scale_events"] = [
-            [time, size] for time, size in autoscaler.scale_events
-        ]
-    if injector is not None:
-        balancer_stats["node_crashes"] = injector.crashes
-        balancer_stats["skipped_crashes"] = injector.skipped_crashes
+    balancer_stats: Optional[Dict[str, Any]] = None
+    if not single:
+        balancer_stats = {"balancer": cluster.balancer, **balancer.stats.as_dict()}
+        if autoscaler is not None:
+            balancer_stats["scale_events"] = [
+                [time, size] for time, size in autoscaler.scale_events
+            ]
+        if injector is not None:
+            balancer_stats["node_crashes"] = injector.crashes
+            balancer_stats["skipped_crashes"] = injector.skipped_crashes
     # Stats cover every node that ever served: the roster (a node still
     # down when the run ends has left the live list) plus autoscaled
     # additions, in roster-then-live order (the historical order when no
@@ -423,35 +380,10 @@ def _run_cluster_experiment(config: ExperimentConfig) -> ExperimentResult:
         config=config,
         records=records,
         node_stats=[
-            _node_stats(invoker, include_failures=failures is not None)
+            _node_stats(invoker, include_failures=not failures.is_none)
             for invoker in fleet
         ],
         balancer_stats=balancer_stats,
-        accumulator=accumulator,
-    )
-
-
-def run_multi_node_experiment(config: MultiNodeConfig) -> ExperimentResult:
-    """Run one multi-node experiment (paper Sect. VIII)."""
-    env = Environment()
-    rngs = RngRegistry(config.seed)
-    catalog = sebs_catalog()
-
-    invokers = [
-        _build_invoker(env, config, name=f"{config.policy}-node-{i}")
-        for i in range(config.nodes)
-    ]
-    for invoker in invokers:
-        invoker.warm_up(catalog)
-
-    scenario = multi_node_burst(config.total_requests, rngs.get("scenario"), window=config.window_s)
-    balancer = make_balancer(config.balancer, invokers)
-    platform = FaaSPlatform(env, invokers, balancer=balancer)
-    records, accumulator = _drive_platform(config, platform, scenario)
-    return ExperimentResult(
-        config=config,
-        records=records,
-        node_stats=[_node_stats(inv) for inv in invokers],
         accumulator=accumulator,
     )
 

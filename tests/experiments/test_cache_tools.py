@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.experiments.cache_tools import (
     CacheMergeError,
     cache_stats,
@@ -13,8 +15,13 @@ from repro.experiments.cache_tools import (
     merge_caches,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ResultCache, run_configs
-from repro.experiments.queue import enqueue_config, try_claim
+from repro.experiments.parallel import (
+    CACHE_SCHEMA_VERSION,
+    QUARANTINE_DIR,
+    ResultCache,
+    run_configs,
+)
+from repro.experiments.queue import QUEUE_DIR, enqueue_config, run_worker, try_claim
 
 
 def _config(seed: int = 1, **overrides) -> ExperimentConfig:
@@ -195,3 +202,77 @@ class TestMerge:
     def test_missing_source_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             merge_caches(tmp_path / "nope", tmp_path / "dst")
+
+
+# ----------------------------------------------------------------------
+# Entries of the removed multi-node config type
+# ----------------------------------------------------------------------
+#: The type-tagged config of a Sect. VIII cell as the legacy
+#: ``MultiNodeConfig`` serialized it, and its fingerprint then.  That type
+#: is gone (such cells are ``ExperimentConfig`` + ``ClusterSpec`` now), so
+#: entries carrying it can never be served again.
+LEGACY_CONFIG = {
+    "type": "MultiNodeConfig",
+    "fields": {
+        "nodes": 2, "cores_per_node": 4, "total_requests": 110, "policy": "FC",
+        "seed": 1, "memory_mb": 40960, "balancer": "least-loaded",
+        "window_s": 60.0, "node_overrides": [],
+    },
+}
+LEGACY_FP = "1152d9c44f6009cd5ac32d617dc27e5969435942237fe5f46975dbd3674f2fe0"
+
+
+def _write_legacy_entry(path, fingerprint=LEGACY_FP):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "fingerprint": fingerprint,
+        "schema": CACHE_SCHEMA_VERSION,
+        "package_version": repro.__version__,
+        "result": {
+            "config": LEGACY_CONFIG, "records": [], "node_stats": [],
+            "balancer_stats": None, "accumulator": None,
+        },
+    }), encoding="utf-8")
+    return path
+
+
+class TestLegacyMultiNodeEntries:
+    def _entry(self, root):
+        return _write_legacy_entry(root / LEGACY_FP[:2] / f"{LEGACY_FP}.json")
+
+    def test_stats_reports_it(self, tmp_path, capsys):
+        self._entry(tmp_path)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "cache: 1 entries" in capsys.readouterr().out
+        report = cache_stats(tmp_path)
+        assert report.corrupt == 1 and report.current == 0
+
+    def test_verify_quarantines_it(self, tmp_path, capsys):
+        path = self._entry(tmp_path)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        assert "corrupt: 1" in capsys.readouterr().out
+        assert not path.exists()
+        assert (tmp_path / QUARANTINE_DIR / f"{LEGACY_FP[:2]}-{path.name}").exists()
+
+    def test_gc_evicts_it(self, tmp_path, capsys):
+        path = self._entry(tmp_path)
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert not path.exists()
+
+    def test_engine_lookups_miss_it(self, tmp_path):
+        # A cache load landing on the legacy payload is a miss ...
+        config = _config()
+        cache = ResultCache(tmp_path)
+        _write_legacy_entry(cache.path_for(config), cache.path_for(config).stem)
+        assert cache.load(config) is None
+        assert cache.misses == 1
+        # ... and a queue entry of the legacy type is dropped, not computed.
+        queue_entry = tmp_path / QUEUE_DIR / f"{LEGACY_FP}.json"
+        queue_entry.parent.mkdir(parents=True)
+        queue_entry.write_text(json.dumps(
+            {"fingerprint": LEGACY_FP, "namespace": "", "config": LEGACY_CONFIG}
+        ), encoding="utf-8")
+        summary = run_worker(tmp_path)
+        assert summary.computed == 0 and summary.invalid == 1
+        assert not queue_entry.exists()

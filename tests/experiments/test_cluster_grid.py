@@ -6,10 +6,13 @@ matches the serial run bit-for-bit, and cluster parameters provably
 change the cache fingerprint.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig6_multinode import fig6_config, run_fig6
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import (
@@ -21,7 +24,8 @@ from repro.experiments.parallel import (
     result_to_payload,
     run_configs,
 )
-from repro.experiments.runner import run_experiment, run_multi_node_experiment
+from repro.experiments.runner import run_experiment
+from repro.metrics.serialize import records_to_dicts
 
 
 def cluster_spec() -> GridSpec:
@@ -316,44 +320,59 @@ class TestArtifactSweepSeams:
             )
 
 
+#: Records digests (:func:`legacy_fig6_digest`) of Sect. VIII cells as
+#: the retired multi-node runner computed them, keyed by the
+#: ``fig6_config`` arguments ``(nodes, cores_per_node, total_requests,
+#: policy, seed)``.  Captured from that runner before its removal; the
+#: ``ExperimentConfig`` + ``ClusterSpec`` spelling must keep matching.
+LEGACY_FIG6_DIGESTS = {
+    (3, 4, 110, "FC", 2): "8c29207c75178ae7049f378055903d7efc4544bf9fa8a17b12d883582bda86aa",
+    (1, 4, 110, "FC", 2): "14d5f11d1861a70396b1665edd453df179db95ff59e87127302d12698a407695",
+    (2, 4, 110, "FC", 1): "b015e0bd220f461ea16e4fe6a985633d8ffaae551f40fba4d63b7d462a11fbd8",
+    (3, 4, 330, "FC", 1): "27752e22b3c169283767cb14fd6f5b000ebc8bdafa445a81747a1826694410d8",
+    (2, 4, 110, "baseline", 5): "a21702ccdcfe4a3f4867ade6c039bf2f98114ec5ecb27867352778d68c1ba303",
+}
+
+
+def legacy_fig6_digest(result, nodes: int) -> str:
+    """SHA-256 over a run's call records and node diagnostics.
+
+    ``cpu_utilization`` is left out (its last ulps are not deterministic;
+    see ``tools/golden_fingerprints.py``).  On one node the invoker name
+    is left out too: the default topology names its node ``"FC-node"``
+    where the legacy runner said ``"FC-node-0"``; every timestamp and
+    statistic is identical.
+    """
+    record_drop = {"invoker"} if nodes == 1 else set()
+    stat_drop = {"cpu_utilization"} | ({"name"} if nodes == 1 else set())
+    payload = {
+        "records": [
+            {k: v for k, v in record.items() if k not in record_drop}
+            for record in records_to_dicts(result.records)
+        ],
+        "node_stats": [
+            {k: v for k, v in stats.items() if k not in stat_drop}
+            for stats in result.node_stats
+        ],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class TestFig6Equivalence:
-    """fig6 now rides the engine; its cells must match the legacy
-    multi-node runner bit-for-bit (same simulated system)."""
+    """fig6 rides the engine; its cells must match what the legacy
+    multi-node runner computed bit-for-bit (pinned digests)."""
 
     def test_cluster_path_matches_legacy_runner(self):
-        legacy = run_multi_node_experiment(
-            MultiNodeConfig(
-                nodes=3, cores_per_node=4, total_requests=110, policy="FC", seed=2
-            )
-        )
-        elevated = run_experiment(fig6_config(3, 4, 110, "FC", 2))
-        assert legacy.records == elevated.records
-        assert legacy.node_stats == elevated.node_stats
+        cell = (3, 4, 110, "FC", 2)
+        result = run_experiment(fig6_config(*cell))
+        assert legacy_fig6_digest(result, nodes=3) == LEGACY_FIG6_DIGESTS[cell]
 
     def test_single_node_cell_matches_legacy_runner_up_to_node_name(self):
-        # nodes=1 takes the classic single-node path, whose invoker is
-        # named "FC-node" (the legacy multi-node runner says "FC-node-0");
-        # the simulated system — every timestamp and statistic — is
-        # identical, only the diagnostic name differs.
-        legacy = run_multi_node_experiment(
-            MultiNodeConfig(
-                nodes=1, cores_per_node=4, total_requests=110, policy="FC", seed=2
-            )
-        )
-        elevated = run_experiment(fig6_config(1, 4, 110, "FC", 2))
-        def strip(r):
-            return {k: v for k, v in r.__dict__.items() if k != "invoker"}
-
-        assert [strip(r) for r in legacy.records] == [
-            strip(r) for r in elevated.records
-        ]
-        assert [
-            {k: v for k, v in stats.items() if k != "name"}
-            for stats in legacy.node_stats
-        ] == [
-            {k: v for k, v in stats.items() if k != "name"}
-            for stats in elevated.node_stats
-        ]
+        cell = (1, 4, 110, "FC", 2)
+        result = run_experiment(fig6_config(*cell))
+        assert legacy_fig6_digest(result, nodes=1) == LEGACY_FIG6_DIGESTS[cell]
+        assert [stats["name"] for stats in result.node_stats] == ["FC-node"]
 
     def test_fig6_runs_through_the_engine_and_caches(self, tmp_path):
         kwargs = dict(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import BASELINE, ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 
 
 class TestExperimentConfig:
@@ -168,20 +168,3 @@ class TestExperimentConfig:
     def test_label_names_non_default_scenario(self):
         cfg = ExperimentConfig(cores=10, intensity=30, scenario="poisson")
         assert "scenario=poisson" in cfg.label()
-
-
-class TestMultiNodeConfig:
-    def test_node_config(self):
-        cfg = MultiNodeConfig(nodes=3, cores_per_node=18, total_requests=2376)
-        node = cfg.node_config()
-        assert node.cores == 18 and node.memory_mb == 40960
-
-    def test_invalid_nodes(self):
-        with pytest.raises(ValueError):
-            MultiNodeConfig(nodes=0, cores_per_node=10, total_requests=1320)
-
-    def test_is_baseline(self):
-        cfg = MultiNodeConfig(
-            nodes=2, cores_per_node=10, total_requests=1320, policy=BASELINE
-        )
-        assert cfg.is_baseline

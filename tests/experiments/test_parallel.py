@@ -8,7 +8,7 @@ import pytest
 
 import repro
 import repro.experiments.parallel as parallel
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import (
     EngineStats,
@@ -152,11 +152,6 @@ class TestFingerprint:
         fingerprints = {config_fingerprint(c) for c in [cfg, *variants]}
         assert len(fingerprints) == len(variants) + 1
 
-    def test_distinguishes_config_types(self):
-        single = ExperimentConfig(cores=4, intensity=10)
-        multi = MultiNodeConfig(nodes=1, cores_per_node=4, total_requests=10)
-        assert config_fingerprint(single) != config_fingerprint(multi)
-
     def test_changes_with_package_version(self, monkeypatch):
         cfg = ExperimentConfig(cores=4, intensity=10)
         before = config_fingerprint(cfg)
@@ -184,7 +179,6 @@ class TestFingerprint:
                 cores=4, intensity=10, scenario="skewed",
                 scenario_params={"rare_function": "sleep", "rare_count": 2},
             ),
-            MultiNodeConfig(nodes=2, cores_per_node=4, total_requests=10),
         ):
             assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 

@@ -212,10 +212,15 @@ class TestQueueEntries:
 # ----------------------------------------------------------------------
 def _race_claims(root, fingerprint, racers, out):
     barrier = _MP.Barrier(racers)
+    finished = _MP.Barrier(racers)
 
     def attempt(slot):
         barrier.wait()
         out[slot] = try_claim(root, fingerprint, owner=f"racer-{slot}")
+        # Stay alive until every racer has tried: a lease whose owner pid
+        # is dead is stale by design, so a winner that exits early lets a
+        # slow racer legitimately steal the cell.
+        finished.wait()
 
     processes = [
         _MP.Process(target=attempt, args=(slot,)) for slot in range(racers)
@@ -239,6 +244,32 @@ class TestClaimProtocol:
         lease = read_lease(_lease_path(tmp_path, self.FP))
         assert lease is not None
         assert lease.owner == f"racer-{wins[0]}"
+
+    def test_racer_never_sees_a_half_written_lease(self, tmp_path, monkeypatch):
+        # Deterministic interleaving: a second claimant runs at the moment
+        # the first serializes its lease — after it decided to claim,
+        # before the lease text is on disk.  The racer must find no lease
+        # or a complete one, never an empty file it would take for stale
+        # and steal (which let both claimants win).
+        path = _lease_path(tmp_path, self.FP)
+        to_json = Lease.to_json
+        torn = []
+        racer = {}
+
+        def interleaved(lease):
+            if lease.owner == "first" and not racer:
+                torn.append(path.exists() and read_lease(path) is None)
+                racer["won"] = try_claim(tmp_path, self.FP, owner="second")
+            return to_json(lease)
+
+        monkeypatch.setattr(Lease, "to_json", interleaved)
+        first = try_claim(tmp_path, self.FP, owner="first")
+        assert torn == [False]
+        assert [first, racer["won"]].count(True) == 1
+        winner = "first" if first else "second"
+        assert read_lease(path).owner == winner
+        # No temp file outlives its claim.
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
     def test_fresh_lease_blocks_other_claimants(self, tmp_path):
         assert try_claim(tmp_path, self.FP, owner="first")

@@ -1,13 +1,11 @@
 """Integration tests for the experiment runner."""
 
 
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
-from repro.experiments.runner import (
-    run_experiment,
-    run_multi_node_experiment,
-    run_repetitions,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig6_multinode import fig6_config
+from repro.experiments.runner import run_experiment, run_repetitions
 from repro.workload.generator import requests_for_intensity
+from tests.experiments.test_cluster_grid import LEGACY_FIG6_DIGESTS, legacy_fig6_digest
 
 
 def quick_cfg(**overrides):
@@ -85,27 +83,29 @@ class TestRepetitions:
 
 
 class TestMultiNode:
+    """Sect. VIII cells (``fig6_config``) against digests pinned from the
+    legacy multi-node runner."""
+
     def test_basic_run(self):
-        cfg = MultiNodeConfig(
-            nodes=2, cores_per_node=4, total_requests=110, policy="FC", seed=1
-        )
-        result = run_multi_node_experiment(cfg)
+        cell = (2, 4, 110, "FC", 1)
+        result = run_experiment(fig6_config(*cell))
         assert len(result.records) == 110
         assert len(result.node_stats) == 2
+        node = result.config.node_config()
+        assert node.cores == 4 and node.memory_mb == 40960  # the paper's VMs
+        assert legacy_fig6_digest(result, nodes=2) == LEGACY_FIG6_DIGESTS[cell]
 
     def test_all_nodes_used(self):
-        cfg = MultiNodeConfig(
-            nodes=3, cores_per_node=4, total_requests=330, policy="FC", seed=1
-        )
-        result = run_multi_node_experiment(cfg)
+        cell = (3, 4, 330, "FC", 1)
+        result = run_experiment(fig6_config(*cell))
         assert len({r.invoker for r in result.records}) == 3
+        assert legacy_fig6_digest(result, nodes=3) == LEGACY_FIG6_DIGESTS[cell]
 
     def test_deterministic(self):
-        cfg = MultiNodeConfig(
-            nodes=2, cores_per_node=4, total_requests=110, policy="baseline", seed=5
-        )
-        a = run_multi_node_experiment(cfg)
-        b = run_multi_node_experiment(cfg)
+        cell = (2, 4, 110, "baseline", 5)
+        a = run_experiment(fig6_config(*cell))
+        b = run_experiment(fig6_config(*cell))
         assert [r.completed_at for r in a.records] == [
             r.completed_at for r in b.records
         ]
+        assert legacy_fig6_digest(a, nodes=2) == LEGACY_FIG6_DIGESTS[cell]
