@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.functions import FunctionSpec
 
-__all__ = ["Container", "ContainerState"]
+__all__ = ["Container", "ContainerState", "WARM_STATES"]
 
 _ids = count(1)
 
@@ -33,6 +33,10 @@ class ContainerState(enum.Enum):
     PAUSING = "pausing"
     PAUSED = "paused"
     DEAD = "dead"
+
+
+#: States of an initialized container that is idle when not busy.
+WARM_STATES = frozenset((ContainerState.HOT, ContainerState.PAUSING, ContainerState.PAUSED))
 
 
 class Container:
@@ -72,11 +76,7 @@ class Container:
     @property
     def is_warm(self) -> bool:
         """Initialized and idle (HOT, PAUSING or PAUSED), i.e. reusable."""
-        return not self.busy and self.state in (
-            ContainerState.HOT,
-            ContainerState.PAUSING,
-            ContainerState.PAUSED,
-        )
+        return not self.busy and self.state in WARM_STATES
 
     @property
     def is_prewarm(self) -> bool:

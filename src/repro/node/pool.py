@@ -2,29 +2,24 @@
 
 The pool makes synchronous placement decisions (which container serves a
 call; which idle containers to evict to free memory) and owns the
-baseline's hot→paused lifecycle timers.  Docker operations for placement
-(create, our invoker's dispatch cycle) are executed by the caller via the
+hot→paused lifecycle timers.  Docker operations for placement (create, our
+invoker's dispatch cycle) are executed by the caller via the
 :class:`~repro.node.docker.DockerDaemon`; the pool itself fires the
 background pause and remove operations.
 
-Two reuse disciplines exist (see NodeConfig's rationale):
-
-* ``manage_pause=True`` (baseline): a container stays *hot* for a short
-  grace after a call and can be reused for free; it is then paused in the
-  background and must be unpaused (cheap, parallel) on reuse.
-* ``manage_pause=False`` (our invoker): the invoker enforces its CPU
-  guarantee with a serialized per-dispatch docker cycle, so hot reuse
-  does not exist — every released container immediately counts as paused
-  (without a daemon pause op: the dispatch cycle itself leaves the
-  container quiesced).
+Both invokers share one reuse discipline: a released container stays
+*hot* for ``pause_grace_s`` and can be reused for free; it is then paused
+in the background by a daemon ``pause`` op and must be revived on reuse
+(the baseline's cheap unpause, our invoker's serialized dispatch cycle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Literal, Optional
 
-from repro.node.container import Container, ContainerState
+from repro.node.container import WARM_STATES, Container, ContainerState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -64,13 +59,11 @@ class ContainerPool:
         config: "NodeConfig",
         daemon: "DockerDaemon",
         memory: "MemoryPool",
-        manage_pause: bool = True,
     ) -> None:
         self.env = env
         self.config = config
         self.daemon = daemon
         self.memory = memory
-        self.manage_pause = manage_pause
         #: All live containers (busy or warm), insertion order.
         self.containers: List[Container] = []
         #: Live containers grouped by function name, each group in the
@@ -146,7 +139,7 @@ class ContainerPool:
         best_hot: Optional[Container] = None
         best_paused: Optional[Container] = None
         for c in self._by_function.get(spec.name, ()):
-            if not c.is_warm:
+            if c.busy or c.state not in WARM_STATES:
                 continue
             if c.state is ContainerState.HOT:
                 if best_hot is None or c.last_used > best_hot.last_used:
@@ -197,26 +190,25 @@ class ContainerPool:
     def release(self, container: Container) -> None:
         """Return a container after a call.
 
-        Baseline (``manage_pause``): the container stays HOT for the pause
-        grace, then a background daemon ``pause`` moves it to PAUSED.
-        Our invoker: the container counts as paused immediately.
+        The container stays HOT for the pause grace, then a background
+        daemon ``pause`` moves it to PAUSED (see :meth:`_grace_expired`).
         """
         container.busy = False
         container.last_used = self.env.now
         container.calls_served += 1
         container.pause_version += 1
-        if self.manage_pause:
-            container.state = ContainerState.HOT
-            self.env.process(self._pause_after_grace(container, container.pause_version))
-        else:
-            container.state = ContainerState.PAUSED
+        container.state = ContainerState.HOT
+        # A timer, not a process: most graces only find the container
+        # reused (docs/PERFORMANCE.md, "Calendar entries per call").
+        timer = self.env.timeout(self.config.pause_grace_s)
+        timer.callbacks.append(partial(self._grace_expired, container, container.pause_version))
 
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
     def idle_warm_containers(self) -> List[Container]:
         """Evictable containers, least-recently-used first."""
-        idle = [c for c in self.containers if c.is_warm]
+        idle = [c for c in self.containers if not c.busy and c.state in WARM_STATES]
         idle.sort(key=lambda c: c.last_used)
         return idle
 
@@ -251,13 +243,15 @@ class ContainerPool:
         container.last_used = self.env.now
         container.pause_version += 1  # invalidate pending pause timers
 
-    def _pause_after_grace(self, container: Container, version: int):
-        yield self.env.timeout(self.config.pause_grace_s)
+    def _grace_expired(self, container: Container, version: int, _timer) -> None:
         if container.pause_version != version or container.busy:
             return  # reused (or evicted) in the meantime
         if container.state is not ContainerState.HOT:
             return
         container.state = ContainerState.PAUSING
+        self.env.process(self._pause(container, version))
+
+    def _pause(self, container: Container, version: int):
         yield from self.daemon.op("pause")
         if container.pause_version == version and not container.busy:
             if container.state is ContainerState.PAUSING:

@@ -184,7 +184,7 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-        if not event.ok and not event.defused:
+        if not event._ok and not event.defused:
             # An unhandled failure propagates out of the event loop.
             exc = event.value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
@@ -265,13 +265,13 @@ class ReusableTimer:
 
     Not an :class:`~repro.sim.events.Event`: it cannot be yielded on or
     awaited — it satisfies exactly the calendar's processing protocol
-    (``callbacks``/``ok``/``defused``).
+    (``callbacks``/``_ok``/``defused``).
     """
 
     __slots__ = ("env", "_fn", "_cblist", "_entry", "callbacks", "defused")
 
     #: Calendar protocol: a timer firing is always a success.
-    ok = True
+    _ok = True
 
     def __init__(self, env: Environment, callback: Callable[[], None]) -> None:
         self.env = env

@@ -143,6 +143,8 @@ class CpuTask:
         "_rate",
         "_bank",
         "_slot",
+        "_wi",
+        "_ci",
     )
 
     def __init__(
@@ -313,14 +315,15 @@ class SharedCPU:
     # ------------------------------------------------------------------
     def _add(self, task: CpuTask) -> None:
         self._tasks.add(task)
+        # Exact scaled weight and cap, kept on the task for _remove.
+        task._wi = wi = _exact_scaled(task.weight)
+        task._ci = ci = _exact_scaled(task.max_rate)
         if self._w_exact:
-            wi = _exact_scaled(task.weight)
             if wi is None:
                 self._w_exact = False
             else:
                 self._wsum_i += wi
         if self._cap_exact:
-            ci = _exact_scaled(task.max_rate)
             if ci is None:
                 self._cap_exact = False
             else:
@@ -384,9 +387,9 @@ class SharedCPU:
         task._slot = -1
         self._n -= 1
         if self._w_exact:
-            self._wsum_i -= _exact_scaled(task.weight)
+            self._wsum_i -= task._wi
         if self._cap_exact:
-            self._capsum_i -= _exact_scaled(task.max_rate)
+            self._capsum_i -= task._ci
         if self._n == 0:
             self._reset_columns()
         elif self._vector:

@@ -98,13 +98,15 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        super().__init__(env)
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self.delay = float(delay)
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=self.delay)
+        self._ok = True
+        self.defused = False
+        self.delay = delay = float(delay)
+        env.schedule(self, delay)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"

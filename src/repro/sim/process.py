@@ -21,6 +21,18 @@ class Interrupt(Exception):
         return self.args[0] if self.args else None
 
 
+class _Start:
+    """A process's first resumption: a succeeded event, slimmed down."""
+
+    __slots__ = ("callbacks",)
+
+    _ok = True
+    _value = None
+
+    def __init__(self, resume) -> None:
+        self.callbacks = [resume]
+
+
 class Process(Event):
     """A simulation process wrapping a generator.
 
@@ -28,6 +40,10 @@ class Process(Event):
     process resumes when the yielded event triggers, receiving its value (or
     having its exception thrown in).  The process itself is an event that
     triggers when the generator returns (value = return value) or raises.
+
+    A successful end that nothing awaits takes no calendar entry: the
+    process is processed at once (docs/PERFORMANCE.md, "Calendar entries
+    per call").
     """
 
     __slots__ = ("_generator", "_target", "_send", "_throw")
@@ -42,11 +58,7 @@ class Process(Event):
         self._throw = generator.throw
         self._target: Optional[Event] = None
         # Kick off the coroutine at the current time, before normal events.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        env.schedule(init, priority=URGENT)
-        init.callbacks.append(self._resume)
+        env.schedule(_Start(self._resume), 0.0, URGENT)
 
     @property
     def target(self) -> Optional[Event]:
@@ -94,7 +106,10 @@ class Process(Event):
                         next_target = self._throw(event._value)
                 except StopIteration as stop:
                     self._target = None
-                    self.succeed(stop.value)
+                    if self.callbacks:
+                        self.succeed(stop.value)
+                    else:  # nobody awaits the end: no calendar entry
+                        self._ok, self._value, self.callbacks = True, stop.value, None
                     return
                 except BaseException as exc:
                     self._target = None

@@ -261,6 +261,102 @@ class TestProcess:
             env.process(lambda: None)
 
 
+class TestUnobservedProcessEnd:
+    """A successful process end that nothing awaits takes no calendar
+    entry; the process is processed at once and stays awaitable."""
+
+    @staticmethod
+    def ended(env, value="v"):
+        """A process that returns *value* at t=1 with no waiter."""
+
+        def proc(env):
+            yield env.timeout(1.0)
+            return value
+
+        p = env.process(proc(env))
+        env.run()
+        assert env.now == 1.0 and env.scheduled_count == 0
+        return p
+
+    def test_end_takes_no_calendar_entry(self):
+        env = Environment()
+
+        def proc(env):
+            yield env.timeout(1.0)
+            return "v"
+
+        p = env.process(proc(env))
+        env.step()  # start
+        assert env.scheduled_count == 1  # the timeout
+        env.step()  # the timeout pops and the generator returns
+        assert env.scheduled_count == 0
+        assert p.processed and p.ok and not p.is_alive
+
+    def test_awaited_end_is_still_scheduled(self):
+        env = Environment()
+
+        def child(env):
+            yield env.timeout(1.0)
+            return "c"
+
+        def parent(env):
+            return (yield env.process(child(env)))
+
+        env.process(parent(env))
+        env.step()  # parent start
+        env.step()  # child start
+        env.step()  # child's timeout: the child ends with a waiter
+        assert env.scheduled_count == 1
+
+    def test_value_is_readable(self):
+        env = Environment()
+        p = self.ended(env, value=7)
+        assert p.value == 7
+        assert p.triggered
+
+    def test_later_yield_resumes_in_the_same_instant(self):
+        env = Environment()
+        p = self.ended(env)
+        seen = []
+
+        def waiter(env):
+            seen.append((yield p))
+            seen.append(env.now)
+
+        env.process(waiter(env))
+        env.step()  # waiter start: resumes through the processed event
+        assert seen == ["v", 1.0]
+        assert env.scheduled_count == 0
+
+    def test_run_until_the_process_returns_its_value(self):
+        env = Environment()
+        p = self.ended(env, value=("x", 1))
+        assert env.run(until=p) == ("x", 1)
+
+    def test_all_of_triggers(self):
+        env = Environment()
+        p = self.ended(env)
+        condition = AllOf(env, [p])
+        env.run()
+        assert condition.processed
+        assert condition.value == {p: "v"}
+
+    def test_unobserved_raise_still_propagates(self):
+        env = Environment()
+
+        def proc(env):
+            yield env.timeout(1.0)
+            raise KeyError("lost")
+
+        p = env.process(proc(env))
+        env.step()  # start
+        env.step()  # the timeout: the generator raises
+        assert env.scheduled_count == 1  # the failure is still scheduled
+        with pytest.raises(KeyError, match="lost"):
+            env.run()
+        assert not p.ok
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
